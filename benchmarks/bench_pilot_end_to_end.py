@@ -92,15 +92,15 @@ def test_pilot_campaign_serial_vs_sharded(benchmark, record, record_json):
     sites = listing.alexa_top(CAMPAIGN_TOP)
 
     def run_with(workers: int, executor: str):
-        runner = CampaignRunner(
+        began = time.perf_counter()
+        with CampaignRunner(
             seed=CAMPAIGN_SEED,
             population_size=CAMPAIGN_POPULATION,
             shards=CAMPAIGN_SHARDS,
             workers=workers,
             executor=executor,
-        )
-        began = time.perf_counter()
-        result = runner.run(sites)
+        ) as runner:
+            result = runner.run(sites)
         return result, time.perf_counter() - began
 
     serial_result, serial_wall = run_with(1, "serial")

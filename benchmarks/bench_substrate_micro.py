@@ -86,17 +86,16 @@ def test_bench_sharded_campaign_workers(benchmark, record_json, workers):
 
     listing = WorldShard(RngTree(_SHARDED_SEED)).build_population(_SHARDED_POPULATION)
     sites = listing.alexa_top(_SHARDED_TOP)
-    runner = CampaignRunner(
+    with CampaignRunner(
         seed=_SHARDED_SEED,
         population_size=_SHARDED_POPULATION,
         shards=4,
         workers=workers,
-        executor="serial" if workers == 1 else "thread",
-    )
-
-    began = time.perf_counter()
-    result = benchmark.pedantic(lambda: runner.run(sites), rounds=1, iterations=1)
-    wall = time.perf_counter() - began
+        executor="serial" if workers == 1 else "process",
+    ) as runner:
+        began = time.perf_counter()
+        result = benchmark.pedantic(lambda: runner.run(sites), rounds=1, iterations=1)
+        wall = time.perf_counter() - began
 
     record_json(f"substrate_sharded_campaign_w{workers}", {
         "workers": workers,

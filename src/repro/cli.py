@@ -83,12 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="independent world shards (default 8)")
     campaign.add_argument("--workers", type=int, default=1,
                           help="parallel shard workers (default 1)")
-    campaign.add_argument("--warm-workers", action=argparse.BooleanOptionalAction,
-                          default=True,
-                          help="per-worker warm world cache (site specs, identity "
-                               "corpora); --no-warm-workers forces the cold "
-                               "reference path (output is identical either way)")
-    campaign.add_argument("--executor", choices=["serial", "thread", "process"],
+    campaign.add_argument("--executor", choices=["serial", "process"],
                           default="process",
                           help="shard executor backend (default process)")
     campaign.add_argument("--json", type=pathlib.Path, default=None,
@@ -116,13 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="parallel shard workers; the pool persists "
                             "across epochs (default 1)")
-    serve.add_argument("--executor", choices=["serial", "thread", "process"],
+    serve.add_argument("--executor", choices=["serial", "process"],
                        default="process",
                        help="shard executor backend (default process)")
-    serve.add_argument("--warm-workers", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="per-worker warm world cache, reused across "
-                            "epochs (output is identical either way)")
     serve.add_argument("--checkpoint", type=pathlib.Path, default=None,
                        metavar="PATH",
                        help="write the epoch checkpoint here (atomic)")
@@ -392,7 +383,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         + (f" faults={args.fault_profile}/{args.fault_seed}" if fault_plan else ""),
         file=sys.stderr,
     )
-    # Context-managed so a persistent pool is torn down even when the
+    # Context-managed so the process pool is torn down even when the
     # run raises (worker processes must not outlive the command).
     with CampaignRunner(
         seed=args.seed,
@@ -403,7 +394,6 @@ def _run_campaign(args: argparse.Namespace) -> int:
         fault_plan=fault_plan,
         obs_enabled=args.obs_out is not None,
         obs_meta={"command": "campaign"},
-        warm_workers=args.warm_workers,
         world_store=str(args.world_store) if store is not None else None,
     ) as runner:
         result = runner.run(sites)
@@ -503,7 +493,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         fault_plan=_fault_plan_from(args),
         workers=args.workers,
         executor=executor,
-        warm_workers=args.warm_workers,
         checkpoint_every=args.checkpoint_every,
         world_store=str(args.world_store) if args.world_store else None,
         traffic_users=args.traffic_users,

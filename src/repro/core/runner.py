@@ -16,11 +16,13 @@ configs)``: the shard builds a fresh :class:`TripwireSystem` whose
 substrate tree is the root seed (so site specs are identical across
 shards and runs) and whose apparatus tree is namespaced
 ``("shard", shard_index)`` (so shards mint distinct identities and
-crawl with independent error streams).  No state is shared between
-shards, so executing them serially, on a thread pool, or on a process
-pool yields **bit-identical merged results for any worker count**.
-The merge is keyed on each site's position in the input list, never on
-completion order.
+crawl with independent error streams).  Site specs always come from a
+prefix-closed table (the world store's, or the process-lifetime one in
+:mod:`repro.perf.warm`), so a rank's host never depends on which ranks
+a shard asked for first.  No other state is shared between shards, so
+executing them serially or on a process pool yields **bit-identical
+merged results for any worker count**.  The merge is keyed on each
+site's position in the input list, never on completion order.
 
 Fault injection preserves the contract: a :class:`FaultPlan` rides in
 the picklable :class:`ShardPlan`, each shard derives its injector RNG
@@ -30,19 +32,15 @@ in shard-index order.  With any plan and a fixed seed, the merged
 output — attempts, telemetry *and* fault report — is bit-identical for
 any worker count and executor.
 
-Scale-out layer (PR 5)
-----------------------
+Process execution
+-----------------
 
-Three orthogonal optimizations ride on top, none of which may move a
-bit of merged output:
-
-- **Warm workers** (:mod:`repro.perf.warm`): shard-invariant substrate
-  products (site specs, identity corpora) are cached for the worker
-  process's lifetime, so a persistent pool builds each world once per
-  worker instead of once per shard.  ``warm_enabled`` rides in the
-  plan; the cold path survives as the reference.
-- **Wire codec** (:mod:`repro.perf.wire`): the process backend ships
-  each shard result as one compact interned-tuple blob instead of a
+- **One pool per runner**: the process pool is created on first use
+  and lives until :meth:`CampaignRunner.close` (or context exit), so
+  every epoch a daemon dispatches reuses the same worker processes and
+  their spec tables.
+- **Wire codec** (:mod:`repro.perf.wire`): each shard result crosses
+  the pool as one compact interned-tuple blob instead of a
   default-pickled object graph; per-shard bytes-on-wire are recorded
   on the run result (never in the journal — they are executor-shaped).
 - **Streaming merge**: shard results fold into a
@@ -74,7 +72,7 @@ from repro.web.generator import GeneratorConfig
 from repro.web.population import RankedSite
 
 #: Executor backends accepted by :class:`CampaignRunner`.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -100,14 +98,11 @@ class ShardPlan:
     identity_headroom: int = 8
     fault_plan: FaultPlan | None = None
     obs_enabled: bool = False
-    #: Opt-in to the per-worker warm world cache.  Off by default so a
-    #: bare ``run_shard(plan)`` is always the cold reference path.
-    warm_enabled: bool = False
     #: Path of a built :mod:`repro.store` world store, or None for the
-    #: in-memory default.  Execution-shaped like ``warm_enabled``: the
-    #: store holds the same prefix-closed specs the generator would
-    #: produce, so toggling it moves no bit of merged output (the
-    #: store≡memory determinism matrix pins this).
+    #: in-memory default.  Execution-shaped: the store holds the same
+    #: prefix-closed specs the in-memory table would, so toggling it
+    #: moves no bit of merged output (the store≡memory determinism
+    #: matrix pins this).
     world_store: str | None = None
     #: Scheduler epoch this shard belongs to (service mode).  Epoch 0
     #: keeps the pre-service apparatus namespace ``("shard", k)`` so
@@ -163,7 +158,7 @@ class CampaignRunResult:
     #: so its serialized bytes are identical for any worker count.
     journal: RunJournal | None = None
     #: Bytes-on-wire per shard index when the process backend shipped
-    #: results through the compact codec; empty otherwise.  Lives here,
+    #: results through the wire codec; empty for serial runs.  Lives here,
     #: not in the journal — it is executor-shaped operational data.
     wire_bytes: dict[int, int] = field(default_factory=dict)
 
@@ -220,17 +215,16 @@ def run_shard(plan: ShardPlan) -> ShardResult:
     every site may take a hard attempt, a follow-up easy attempt and
     an occasional second hard attempt.
 
-    With ``plan.warm_enabled`` (and the perf layer on), shard-invariant
-    substrate products come from the worker-process-lifetime cache in
-    :mod:`repro.perf.warm`; otherwise this is the cold reference path.
-    Either way the result is bit-identical — the warm cache holds only
-    pure functions of the plan's world key.
+    Site specs come from a prefix-closed table whatever the perf switch
+    says: the world store's when ``plan.world_store`` is set, otherwise
+    the process-lifetime table for the plan's world key
+    (:mod:`repro.perf.warm`).  A rank's host is then a pure function of
+    the world key, never of which ranks this shard asked for first.
     """
     if plan.epoch == 0:
         namespace: tuple[object, ...] = ("shard", plan.shard_index)
     else:
         namespace = ("epoch", plan.epoch, "shard", plan.shard_index)
-    spec_cache = None
     if plan.world_store is not None:
         from repro.store import open_world_store
 
@@ -242,7 +236,8 @@ def run_shard(plan: ShardPlan) -> ShardResult:
             plan.site_overrides,
         )
         spec_cache = store.spec_cache()
-    warm = _warm.world_for_plan(plan)
+    else:
+        spec_cache = _warm.spec_table_for_plan(plan)
     system = TripwireSystem(
         seed=plan.seed,
         population_size=plan.population_size,
@@ -253,16 +248,12 @@ def run_shard(plan: ShardPlan) -> ShardResult:
         apparatus_namespace=namespace,
         fault_plan=plan.fault_plan,
         obs_enabled=plan.obs_enabled,
-        warm=warm,
         spec_cache=spec_cache,
     )
     hard_needed = 2 * len(plan.sites) + plan.identity_headroom
     easy_needed = len(plan.sites) + plan.identity_headroom
-    if warm is not None:
-        provisioned = warm.provision(system, hard_needed, easy_needed, namespace)
-    else:
-        provisioned = system.provision_identities(hard_needed, PasswordClass.HARD)
-        provisioned += system.provision_identities(easy_needed, PasswordClass.EASY)
+    provisioned = system.provision_identities(hard_needed, PasswordClass.HARD)
+    provisioned += system.provision_identities(easy_needed, PasswordClass.EASY)
 
     campaign = RegistrationCampaign(system, policy=plan.policy)
     site_attempts: list[tuple[int, list[AttemptRecord]]] = []
@@ -376,18 +367,12 @@ class CampaignRunner:
     """Partition, fan out, merge — the production campaign surface.
 
     ``executor`` picks the backend: ``"serial"`` (the baseline the
-    parallel backends must match bit-for-bit), ``"thread"``
-    (I/O-bound friendly; bounded by the GIL for this pure-Python
-    workload) or ``"process"`` (true parallelism; shards rebuild their
-    worlds in the worker process from the picklable plan).
-
-    ``warm_workers`` opts shards into the per-worker world cache;
-    ``wire_codec`` ships process-backend results through the compact
-    codec; ``persistent_pool`` keeps the executor's pool alive across
-    :meth:`run` calls so worker processes retain their warm caches
-    (pair with :meth:`close`, or use the runner as a context manager).
-    All three default to the fast path being available but change no
-    output bit.
+    process backend must match bit-for-bit) or ``"process"`` (true
+    parallelism; shards rebuild their worlds in the worker process from
+    the picklable plan and ship results back through the wire codec).
+    The process pool is created on first use and kept across
+    :meth:`run`/:meth:`execute` calls until :meth:`close`, so use the
+    runner as a context manager whenever ``workers > 1``.
     """
 
     def __init__(
@@ -406,9 +391,6 @@ class CampaignRunner:
         fault_plan: FaultPlan | None = None,
         obs_enabled: bool = False,
         obs_meta: dict | None = None,
-        warm_workers: bool = True,
-        wire_codec: bool = True,
-        persistent_pool: bool = False,
         world_store: str | None = None,
     ):
         if executor not in EXECUTORS:
@@ -434,13 +416,10 @@ class CampaignRunner:
         #: never include worker counts, executor names or wall-clock
         #: values — they would break journal byte-identity.
         self.obs_meta = dict(obs_meta) if obs_meta else {}
-        self.warm_workers = warm_workers
-        self.wire_codec = wire_codec
-        self.persistent_pool = persistent_pool
         #: Execution-shaped, like ``workers``: never recorded in the
         #: journal meta, and must not change a bit of merged output.
         self.world_store = world_store
-        self._pool: concurrent.futures.Executor | None = None
+        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
 
     # -- planning -----------------------------------------------------------
 
@@ -483,7 +462,6 @@ class CampaignRunner:
                     identity_headroom=self.identity_headroom,
                     fault_plan=self.fault_plan,
                     obs_enabled=self.obs_enabled,
-                    warm_enabled=self.warm_workers,
                     world_store=self.world_store,
                     epoch=epoch,
                 )
@@ -498,7 +476,7 @@ class CampaignRunner:
         The one-shot surface: plan a single epoch, execute it, build
         the journal.  Service mode (:mod:`repro.service`) calls
         :meth:`plan` / :meth:`execute` itself, once per scheduler
-        epoch, over the same persistent pool.
+        epoch, over the same pool.
         """
         return self.execute(self.plan(sites), sites_count=len(sites))
 
@@ -511,10 +489,10 @@ class CampaignRunner:
     ) -> CampaignRunResult:
         """Dispatch prepared shard plans and merge their results.
 
-        Re-entrant across epochs: with ``persistent_pool`` the same
-        worker processes (and their warm world caches) serve every
-        call.  ``build_journal=False`` skips per-call journal assembly
-        for callers that merge observations across epochs themselves.
+        Re-entrant across epochs: the same worker processes (and their
+        spec tables) serve every call until :meth:`close`.
+        ``build_journal=False`` skips per-call journal assembly for
+        callers that merge observations across epochs themselves.
         """
         if sites_count is None:
             sites_count = sum(len(plan.sites) for plan in plans)
@@ -571,29 +549,18 @@ class CampaignRunner:
         ]
         return RunJournal(meta, captures)
 
-    def _acquire_pool(self) -> concurrent.futures.Executor:
-        """The executor pool — cached across runs when persistent.
-
-        A persistent process pool is what makes warm workers pay off:
-        worker processes survive between :meth:`run` calls, so their
-        :mod:`repro.perf.warm` caches stay populated.
-        """
-        if self._pool is not None:
-            return self._pool
-        pool_cls = (
-            concurrent.futures.ThreadPoolExecutor
-            if self.executor == "thread"
-            else concurrent.futures.ProcessPoolExecutor
-        )
-        pool = pool_cls(max_workers=self.workers)
-        if self.persistent_pool:
-            self._pool = pool
-        return pool
+    def _acquire_pool(self) -> concurrent.futures.ProcessPoolExecutor:
+        """The process pool, created on first use and kept until close."""
+        if self._pool is None:
+            self._pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.workers
+            )
+        return self._pool
 
     def close(self) -> None:
-        """Shut down the persistent pool (idempotent)."""
+        """Shut down the process pool (idempotent)."""
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
     def __enter__(self) -> "CampaignRunner":
@@ -613,28 +580,16 @@ class CampaignRunner:
         No barrier: each result merges the moment its future resolves
         (the position-keyed merger makes completion order irrelevant),
         and the first shard failure propagates immediately — remaining
-        futures are cancelled rather than drained.  The process
-        backend ships results through the wire codec when enabled;
-        threads share memory, so the codec would be pure overhead
-        there.
+        futures are cancelled rather than drained.
         """
-        use_codec = self.executor == "process" and self.wire_codec
-        work = run_shard_wire if use_codec else run_shard
         pool = self._acquire_pool()
+        futures = {pool.submit(run_shard_wire, plan): plan for plan in plans}
         try:
-            futures = {pool.submit(work, plan): plan for plan in plans}
-            try:
-                for future in concurrent.futures.as_completed(futures):
-                    payload = future.result()
-                    if use_codec:
-                        plan = futures[future]
-                        wire_bytes[plan.shard_index] = len(payload)
-                        payload = _wire.decode_shard_bytes(payload)
-                    merger.add(payload)
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        finally:
-            if pool is not self._pool:
-                pool.shutdown(wait=True, cancel_futures=True)
+            for future in concurrent.futures.as_completed(futures):
+                blob = future.result()
+                wire_bytes[futures[future].shard_index] = len(blob)
+                merger.add(_wire.decode_shard_bytes(blob))
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise

@@ -11,7 +11,7 @@ from repro.data.words import (
     DICTIONARY_WORDS,
     NOUNS,
 )
-from repro.data.identity_corpus import (
+from repro.data.identity_wordlists import (
     CITIES,
     EMPLOYERS,
     FEMALE_FIRST_NAMES,

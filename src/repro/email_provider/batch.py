@@ -209,7 +209,7 @@ class BatchLoginEngine:
     ``scalar_replayed``, ``fallback_events``) are plain attributes, not
     obs counters, on purpose: which path an event takes is an
     execution detail that must never reach journal bytes (the
-    login-smoke cmp would catch it), so the tallies surface only
+    login cmp in CI would catch it), so the tallies surface only
     through flight snapshots and live report sections.
     """
 

@@ -8,7 +8,7 @@ share an email local-part or phone number.
 
 from __future__ import annotations
 
-from repro.data.identity_corpus import (
+from repro.data.identity_wordlists import (
     AREA_CODES,
     CITIES,
     EMPLOYERS,

@@ -17,14 +17,14 @@ Everything in the flight file is a pure function of the service
 config's sim-shaping knobs (plus the login-batching/batch-size knobs,
 which shape the engine path mix): snapshot bytes are **identical for
 any worker count and executor**, and a resumed daemon re-flushes
-replayed epochs to the same bytes as an uninterrupted run.  The CI
-``live-smoke`` job cmp(1)s the file across executors, exactly like the
-journal.
+replayed epochs to the same bytes as an uninterrupted run.  CI's
+``equivalence`` job cmp(1)s the file across executors, exactly like
+the journal.
 
-Wall-clock profiling — per-epoch dispatch seconds, logins/s,
-process-local cache hit rates (LRU caches, the world store's page
-cache, the warm spec cache) — is execution-shaped and therefore rides
-a clearly separated side channel: ``<flight>.wall`` next to the flight
+Wall-clock profiling — per-epoch dispatch seconds, logins/s since the
+previous record, process-local cache hit rates (LRU caches, the world
+store's page cache, the spec tables) — is execution-shaped and
+therefore rides a clearly separated side channel: ``<flight>.wall`` next to the flight
 file, never cmp'd, never journaled, appended without atomicity
 guarantees.  Nothing from the side channel ever feeds back into
 snapshot or journal bytes.

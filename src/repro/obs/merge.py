@@ -56,8 +56,8 @@ def fold_shard_ordered(
 ) -> U:
     """Fold shard artifacts in ascending shard-index order.
 
-    The result is invariant to the order ``items`` arrives in (thread
-    and process pools complete shards in nondeterministic order), which
+    The result is invariant to the order ``items`` arrives in (process
+    pools complete shards in nondeterministic order), which
     is the heart of the bit-identical-for-any-worker-count contract.
     """
     result = initial

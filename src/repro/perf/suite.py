@@ -348,15 +348,15 @@ def bench_sharded_campaign(quick: bool) -> BenchResult:
     sites = listing.alexa_top(top)
 
     def run_with(worker_count: int, executor: str):
-        runner = CampaignRunner(
+        began = time.perf_counter()
+        with CampaignRunner(
             seed=seed,
             population_size=population,
             shards=shards,
             workers=worker_count,
             executor=executor,
-        )
-        began = time.perf_counter()
-        result = runner.run(sites)
+        ) as runner:
+            result = runner.run(sites)
         return result, time.perf_counter() - began
 
     serial_result, serial_wall = run_with(1, "serial")
@@ -383,147 +383,6 @@ def bench_sharded_campaign(quick: bool) -> BenchResult:
         kind="macro",
         baseline_seconds=serial_wall,
         optimized_seconds=sharded_wall,
-        gated=False,
-        extras=extras,
-    )
-
-
-def _campaign_fingerprint(result) -> list[tuple]:
-    return [
-        (a.site_host, a.rank, a.identity.identity_id, a.identity.email_local,
-         a.password_class.value, a.outcome.code.value, a.outcome.pages_loaded,
-         a.registered_at, a.manual)
-        for a in result.attempts
-    ]
-
-
-def bench_shardout(quick: bool) -> BenchResult:
-    """Scale-out executor A/B: cold fresh pools vs warm persistent pool.
-
-    The cold leg is what a campaign pays without the PR-5 layer: a
-    fresh process pool per run (parent caches cleared first, so forked
-    workers start genuinely cold), no warm world cache, results shipped
-    by default pickling.  The warm leg keeps one persistent pool whose
-    workers retain their process-lifetime caches between runs, shards
-    opt into the warm world cache and results cross the pool through
-    the compact wire codec; the steady-state run is what gets timed.
-
-    Deliberately sized so cold-start dominates (that is the cost the
-    layer removes); never gated — the ratio is a property of the
-    machine's core count and fork semantics, not of the code.  The
-    bench *does* fail the suite if warm and cold outputs diverge by a
-    bit, or if the codec stops being smaller than pickle.
-    """
-    from repro.core.runner import CampaignRunner
-    from repro.core.substrate import WorldShard
-    from repro.perf import wire as _wire_mod
-    from repro.util.rngtree import RngTree
-
-    seed, population, top, shards = (31, 150, 120, 8)
-    steady_repeats = 1 if quick else 2
-    cpu_count = os.cpu_count() or 1
-    listing = WorldShard(RngTree(seed)).build_population(population)
-    sites = listing.alexa_top(top)
-
-    def make_runner(workers: int, executor: str, warm: bool, codec: bool,
-                    persistent: bool) -> CampaignRunner:
-        return CampaignRunner(
-            seed=seed,
-            population_size=population,
-            shards=shards,
-            workers=workers,
-            executor=executor,
-            obs_enabled=True,
-            warm_workers=warm,
-            wire_codec=codec,
-            persistent_pool=persistent,
-        )
-
-    was_enabled = _perf.enabled()
-    matrix: dict[str, dict] = {}
-    fingerprints = []
-    journals = []
-    cold_results = {}
-    warm_results = {}
-    try:
-        _perf.set_enabled(True)
-        for workers in (1, 2, 4):
-            # Cold: parent caches cleared so fork()ed workers inherit
-            # nothing; a brand-new pool per run.
-            _perf.clear_all_caches()
-            cold_runner = make_runner(workers, "process", warm=False,
-                                      codec=False, persistent=False)
-            began = time.perf_counter()
-            cold_result = cold_runner.run(sites)
-            cold_wall = time.perf_counter() - began
-
-            # Warm: one pool across runs; workers keep their caches.
-            warm_wall = float("inf")
-            with make_runner(workers, "process", warm=True, codec=True,
-                             persistent=True) as runner:
-                runner.run(sites)  # warm the pool's worker caches
-                for _ in range(steady_repeats):
-                    began = time.perf_counter()
-                    warm_result = runner.run(sites)
-                    warm_wall = min(warm_wall, time.perf_counter() - began)
-
-            cold_results[workers] = cold_result
-            warm_results[workers] = warm_result
-            fingerprints.append(_campaign_fingerprint(cold_result))
-            fingerprints.append(_campaign_fingerprint(warm_result))
-            journals.append(cold_result.journal.to_jsonl())
-            journals.append(warm_result.journal.to_jsonl())
-            matrix[str(workers)] = {
-                "cold_seconds": round(cold_wall, 4),
-                "warm_seconds": round(warm_wall, 4),
-                "speedup": round(cold_wall / warm_wall, 2) if warm_wall > 0
-                else float("inf"),
-            }
-
-        # The serial cold reference everything must bit-match.
-        _perf.clear_all_caches()
-        serial = make_runner(1, "serial", warm=False, codec=False,
-                             persistent=False).run(sites)
-        fingerprints.append(_campaign_fingerprint(serial))
-        journals.append(serial.journal.to_jsonl())
-    finally:
-        _perf.set_enabled(was_enabled)
-
-    headline = cold_results[4], warm_results[4]
-    pickle_per_shard = {
-        r.shard_index: _wire_mod.pickled_size(r)
-        for r in headline[0].shard_results
-    }
-    codec_per_shard = dict(sorted(headline[1].wire_bytes.items()))
-    pickle_total = sum(pickle_per_shard.values())
-    codec_total = sum(codec_per_shard.values())
-    identical = (
-        all(fp == fingerprints[0] for fp in fingerprints)
-        and all(j == journals[0] for j in journals)
-        and codec_total < pickle_total
-    )
-    extras = {
-        "cpu_count": cpu_count,
-        "shards": shards,
-        "sites": len(sites),
-        "workers_matrix": matrix,
-        "wire_pickle_bytes": pickle_total,
-        "wire_codec_bytes": codec_total,
-        "wire_pickle_per_shard": {str(k): v for k, v in sorted(pickle_per_shard.items())},
-        "wire_codec_per_shard": {str(k): v for k, v in codec_per_shard.items()},
-        "codec_smaller": codec_total < pickle_total,
-        "identical": identical,
-    }
-    if cpu_count == 1:
-        extras["single_core_warning"] = (
-            "only one CPU core visible: the warm/cold ratio reflects "
-            "cache reuse alone, not parallel speedup"
-        )
-    return BenchResult(
-        name="shardout",
-        kind="macro",
-        baseline_seconds=matrix["4"]["cold_seconds"],
-        optimized_seconds=matrix["4"]["warm_seconds"],
         gated=False,
         extras=extras,
     )
@@ -622,7 +481,6 @@ BENCHES = {
     "pilot": bench_pilot,
     "campaign": bench_sharded_campaign,
     "obs": bench_obs_overhead,
-    "shardout": bench_shardout,
 }
 
 

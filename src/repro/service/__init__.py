@@ -16,7 +16,7 @@ shape:
   checkpoints, written atomically so a kill mid-write cannot corrupt;
 - :mod:`repro.service.daemon` — the :class:`CampaignDaemon` driving it
   all: one :class:`~repro.core.runner.CampaignRunner` dispatch per
-  epoch over a persistent warm worker pool, graceful SIGTERM stop,
+  epoch over one process pool kept for the run, graceful SIGTERM stop,
   and deterministic resume: a daemon killed at any epoch boundary and
   restarted from its checkpoint replays to a journal byte-identical
   to the uninterrupted run, for any worker count.

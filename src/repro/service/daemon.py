@@ -114,10 +114,9 @@ class ServiceRunResult:
 class CampaignDaemon:
     """Drives the epoch loop: crawl waves, service events, checkpoints.
 
-    One :class:`~repro.core.runner.CampaignRunner` with a persistent
-    pool serves every epoch, so worker processes keep their warm world
-    caches across dispatches (the PR-5 pools, now reused across
-    epochs).  :meth:`request_stop` (wired to SIGTERM/SIGINT by the CLI)
+    One :class:`~repro.core.runner.CampaignRunner` serves every epoch,
+    so its process pool's workers keep their site-spec tables across
+    dispatches.  :meth:`request_stop` (wired to SIGTERM/SIGINT by the CLI)
     lets the in-flight epoch finish, checkpoints it, and exits the loop
     — a *graceful* stop; a hard kill merely loses epochs after the last
     checkpoint, which a resume re-runs from their pure plans.
@@ -209,9 +208,6 @@ class CampaignDaemon:
             start=cfg.start,
             fault_plan=cfg.fault_plan,
             obs_enabled=True,
-            warm_workers=cfg.warm_workers,
-            wire_codec=cfg.wire_codec,
-            persistent_pool=True,
             world_store=cfg.world_store,
         )
 
@@ -260,6 +256,10 @@ class CampaignDaemon:
         fault_parts: list[FaultReport] = []
         saved_epochs = resume.epochs_completed if resume is not None else 0
         interrupted = False
+        # Wall instant and login total at the previous profile record:
+        # each record reports its own interval's logins per second.
+        profiled_at = time.perf_counter()
+        profiled_logins = 0
 
         with self._build_runner() as runner:
             for epoch in range(cfg.epochs):
@@ -344,21 +344,28 @@ class CampaignDaemon:
                     # Wall-clock profiling: side channel only, and the
                     # replay flag may legitimately differ across
                     # resumes — nothing here feeds deterministic bytes.
+                    # Logins/s covers every traffic and stuffing login
+                    # since the previous record over the whole wall
+                    # time between the two, service streams included.
+                    now = time.perf_counter()
+                    logins = (
+                        lifecycle.stats.traffic_logins
+                        + lifecycle.stats.stuffing_logins
+                    )
+                    wall_seconds = now - profiled_at
                     recorder.profile({
                         "epoch": epoch,
                         "replayed": replay,
                         "dispatch_seconds": round(dispatch_seconds, 6),
                         "service_events": events_before,
                         "logins_per_second": (
-                            round(
-                                lifecycle.stats.traffic_logins / dispatch_seconds,
-                                1,
-                            )
-                            if dispatch_seconds > 0
+                            round((logins - profiled_logins) / wall_seconds, 1)
+                            if wall_seconds > 0
                             else None
                         ),
                         "caches": cache_stats(),
                     })
+                    profiled_at, profiled_logins = now, logins
 
         if not interrupted:
             # Drain the service tail: every remaining probe, churn and

@@ -26,8 +26,8 @@ class ServiceConfig:
     Fields are split between *sim-shaping* knobs (seed, population,
     epochs, intervals, account counts — these go into the journal meta
     and the checkpoint digest) and *execution-shaping* knobs (workers,
-    executor, warm caches — these may differ between the original and
-    the resumed run without moving a byte of output).
+    executor, batching, world store — these may differ between the
+    original and the resumed run without moving a byte of output).
     """
 
     # -- sim-shaping ------------------------------------------------------
@@ -81,13 +81,11 @@ class ServiceConfig:
     # -- execution-shaping (never in journal meta) ------------------------
     workers: int = 1
     executor: str = "serial"
-    warm_workers: bool = True
-    wire_codec: bool = True
     checkpoint_every: int = 1
     #: Authenticate service-stream logins through the vectorized batch
     #: engine (False falls back to per-event authentication).  Both
     #: paths produce byte-identical journals — that equivalence is the
-    #: engine's contract, exercised by the login-smoke CI job.
+    #: engine's contract, exercised by CI's equivalence job.
     login_batching: bool = True
     #: Max events per traffic batch and bound of the backpressure queue
     #: between generator and login engine.  Execution-shaping: batch
@@ -114,7 +112,7 @@ class ServiceConfig:
     def sim_meta(self) -> dict:
         """The sim-shaping facts: journal meta and checkpoint digest.
 
-        Deliberately excludes workers, executor, warm caches and
+        Deliberately excludes workers, executor, world store and
         checkpoint cadence — a resumed run may change any of those and
         must still produce byte-identical output.
         """

@@ -10,7 +10,7 @@ Layout of a store at ``PATH``::
 
 **Building** streams a :class:`~repro.web.generator.SiteGenerator` in
 rank order straight into segment pages — the prefix-closed generation
-the warm cache relies on, but writing pages instead of dicts, so peak
+the in-memory spec tables rely on, but writing pages instead of dicts, so peak
 memory is one page's rows no matter the population.  **Reading** goes
 through one budgeted :class:`~repro.store.pagecache.PageCache` shared
 by all of a store's segments.
@@ -23,10 +23,9 @@ store serves any run with ``population <= rows`` bit-identically.
 store built for a different world fails with :class:`StoreError`
 instead of silently diverging.
 
-:func:`open_world_store` keeps a process-lifetime registry so a warm
-worker (persistent pool, many shards and epochs) opens the store and
-fills its page cache once, mirroring :mod:`repro.perf.warm`'s
-treatment of in-memory worlds.
+:func:`open_world_store` keeps a process-lifetime registry so a pool
+worker (many shards and epochs) opens the store and fills its page
+cache once, mirroring :mod:`repro.perf.warm`'s in-memory spec tables.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ class _SpecMapping:
 class StoreSpecCache:
     """A :class:`repro.web.generator.SpecCacheLike` view over a store.
 
-    Drop-in for the warm layer's in-memory ``SpecCache``: the
+    Drop-in for :mod:`repro.perf.warm`'s in-memory ``SpecCache``: the
     generator reads specs through ``specs`` and never generates, so
     ``hosts_taken`` stays empty (collision handling happened at build
     time, prefix-closed).
@@ -425,7 +424,7 @@ def build_world_store(
     return WorldStore(path, budget_bytes=budget_bytes)
 
 
-#: Process-lifetime registry: warm pool workers open each store once
+#: Process-lifetime registry: pool workers open each store once
 #: and keep its page cache across shards and epochs.
 _OPEN_STORES: dict[str, WorldStore] = {}
 _OPEN_LOCK = threading.Lock()

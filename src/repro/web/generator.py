@@ -159,12 +159,14 @@ def _storage_weights(rank: int) -> tuple[tuple[str, float], ...]:
 class SiteGenerator:
     """Draws :class:`SiteSpec` objects deterministically by rank.
 
-    ``spec_cache`` (see :mod:`repro.perf.warm`) shares the generated
-    spec table across generators built from the same seed and config:
-    each rank's spec is a pure function of ``(seed, config, overrides,
-    rank)`` — the per-rank RNG stream is derived from the tree alone —
-    so a warm worker re-running a world regenerates nothing.  Specs are
-    never mutated after generation (the generator itself writes
+    ``spec_cache`` (see :mod:`repro.perf.warm`) shares a prefix-closed
+    spec table across generators built from the same seed and config,
+    which makes each rank's spec a pure function of ``(seed, config,
+    overrides, rank)``: the per-rank RNG stream is derived from the
+    tree alone, and the fill order fixes the host-collision history.
+    Without a table, a rank's host depends on which ranks this
+    generator was asked for first.  Specs are never mutated after
+    generation (the generator itself writes
     ``notes`` before publishing), which is what makes sharing instances
     across worlds in one process safe.
     """
@@ -206,7 +208,7 @@ class SiteGenerator:
         return host
 
     def spec_for_rank(self, rank: int) -> SiteSpec:
-        """The spec for one rank (from the shared cache when warm).
+        """The spec for one rank (from the shared table, if any).
 
         A shared cache is filled **prefix-closed**: every missing rank
         below the requested one is generated first, in rank order, so

@@ -11,6 +11,7 @@ from repro.core.runner import (
     run_shard,
 )
 from repro.core.substrate import WorldShard
+from repro.perf import caching as _perf
 from repro.util.rngtree import RngTree
 
 SEED = 523
@@ -102,10 +103,11 @@ class TestDeterminism:
             shards=shards, workers=1, executor="serial",
         ).run(sites)
         for workers in (2, 4):
-            parallel = CampaignRunner(
+            with CampaignRunner(
                 seed=SEED, population_size=POPULATION,
-                shards=shards, workers=workers, executor="thread",
-            ).run(sites)
+                shards=shards, workers=workers, executor="process",
+            ) as runner:
+                parallel = runner.run(sites)
             assert fingerprint(parallel) == fingerprint(baseline)
             assert parallel.stats == baseline.stats
             assert parallel.telemetry == baseline.telemetry
@@ -115,10 +117,11 @@ class TestDeterminism:
             seed=SEED, population_size=POPULATION,
             shards=4, workers=1, executor="serial",
         ).run(sites)
-        pooled = CampaignRunner(
+        with CampaignRunner(
             seed=SEED, population_size=POPULATION,
             shards=4, workers=2, executor="process",
-        ).run(sites)
+        ) as runner:
+            pooled = runner.run(sites)
         assert fingerprint(pooled) == fingerprint(baseline)
         assert pooled.stats == baseline.stats
         assert pooled.telemetry == baseline.telemetry
@@ -155,6 +158,8 @@ class TestRunnerValidation:
     def test_rejects_unknown_executor(self):
         with pytest.raises(ValueError):
             CampaignRunner(executor="greenlet")
+        with pytest.raises(ValueError, match="serial"):
+            CampaignRunner(executor="thread")
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -199,10 +204,11 @@ class TestIncrementalMerger:
 
 class TestScaleOutExecutor:
     def test_wire_bytes_recorded_on_codec_path(self, sites):
-        result = CampaignRunner(
+        with CampaignRunner(
             seed=SEED, population_size=POPULATION, shards=4,
             workers=2, executor="process",
-        ).run(sites)
+        ) as runner:
+            result = runner.run(sites)
         assert sorted(result.wire_bytes) == [0, 1, 2, 3]
         assert all(size > 0 for size in result.wire_bytes.values())
 
@@ -211,21 +217,22 @@ class TestScaleOutExecutor:
             seed=SEED, population_size=POPULATION, shards=4
         ).run(sites)
         assert serial.wire_bytes == {}
-        no_codec = CampaignRunner(
-            seed=SEED, population_size=POPULATION, shards=4,
-            workers=2, executor="process", wire_codec=False,
-        ).run(sites)
-        assert no_codec.wire_bytes == {}
 
     def test_codec_and_warm_do_not_change_results(self, sites):
-        reference = CampaignRunner(
-            seed=SEED, population_size=POPULATION, shards=4,
-            warm_workers=False, wire_codec=False,
-        ).run(sites)
-        fast = CampaignRunner(
+        # The perf-disabled serial run is the cold oracle: no hot-path
+        # caches, spec tables emptied, no wire codec.
+        _perf.set_enabled(False)
+        try:
+            reference = CampaignRunner(
+                seed=SEED, population_size=POPULATION, shards=4,
+            ).run(sites)
+        finally:
+            _perf.set_enabled(True)
+        with CampaignRunner(
             seed=SEED, population_size=POPULATION, shards=4,
             workers=2, executor="process",
-        ).run(sites)
+        ) as runner:
+            fast = runner.run(sites)
         assert fingerprint(fast) == fingerprint(reference)
         assert fast.stats == reference.stats
         assert fast.telemetry == reference.telemetry
@@ -233,13 +240,13 @@ class TestScaleOutExecutor:
     def test_persistent_pool_reuse_and_close(self, sites):
         with CampaignRunner(
             seed=SEED, population_size=POPULATION, shards=4,
-            workers=2, executor="process", persistent_pool=True,
+            workers=2, executor="process",
         ) as runner:
             first = runner.run(sites)
             pool = runner._pool
             assert pool is not None
             second = runner.run(sites)
-            assert runner._pool is pool  # same pool, workers kept warm
+            assert runner._pool is pool  # same pool, spec tables kept
             assert fingerprint(first) == fingerprint(second)
         assert runner._pool is None  # context exit shut it down
         runner.close()  # idempotent
@@ -248,9 +255,9 @@ class TestScaleOutExecutor:
         # A population far smaller than the crawled ranks makes every
         # shard raise; the streaming path must surface that instead of
         # hanging on a barrier or returning partial results.
-        runner = CampaignRunner(
+        with CampaignRunner(
             seed=SEED, population_size=10, shards=4,
             workers=2, executor="process",
-        )
-        with pytest.raises(Exception, match="outside population"):
-            runner.run(sites)
+        ) as runner:
+            with pytest.raises(Exception, match="outside population"):
+                runner.run(sites)

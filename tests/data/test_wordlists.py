@@ -18,7 +18,7 @@ from repro.data import (
     TLDS,
 )
 from repro.data.geo import COUNTRY_NAMES
-from repro.data.identity_corpus import AREA_CODES, STREET_SUFFIXES
+from repro.data.identity_wordlists import AREA_CODES, STREET_SUFFIXES
 
 
 class TestUsernameVocabulary:

@@ -54,7 +54,7 @@ class TestPersonalData:
         assert address.city in address.one_line()
 
     def test_gender_matches_name_pool(self):
-        from repro.data.identity_corpus import FEMALE_FIRST_NAMES, MALE_FIRST_NAMES
+        from repro.data.identity_wordlists import FEMALE_FIRST_NAMES, MALE_FIRST_NAMES
 
         factory = make_factory()
         for _ in range(40):

@@ -10,6 +10,7 @@ from repro.core.system import TripwireSystem
 from repro.core.substrate import WorldShard
 from repro.faults.plan import FaultPlan
 from repro.identity.passwords import PasswordClass
+from repro.perf import caching as _perf
 from repro.util.rngtree import RngTree
 
 
@@ -108,16 +109,17 @@ class TestShardedDeterminismUnderFaults:
         ]
 
     def run_with(self, sites, workers, executor):
-        return CampaignRunner(
+        with CampaignRunner(
             seed=self.SEED, population_size=self.POPULATION,
             shards=4, workers=workers, executor=executor,
             fault_plan=FaultPlan.from_profile("moderate", seed=6),
-        ).run(sites)
+        ) as runner:
+            return runner.run(sites)
 
     def test_workers_do_not_change_faulted_results(self, sites):
         baseline = self.run_with(sites, workers=1, executor="serial")
         assert baseline.fault_report.total_injected > 0  # chaos actually on
-        for workers, executor in ((2, "thread"), (4, "thread"), (2, "process")):
+        for workers, executor in ((2, "process"), (4, "process")):
             parallel = self.run_with(sites, workers=workers, executor=executor)
             assert self.attempt_fingerprint(parallel) == \
                 self.attempt_fingerprint(baseline), (workers, executor)
@@ -128,11 +130,12 @@ class TestShardedDeterminismUnderFaults:
 
 
 class TestWarmExecutorDeterminism:
-    """The PR-5 scale-out layer must not move a bit of merged output.
+    """Process pools must not move a bit of merged output.
 
-    The serial cold run (no warm cache, no codec) is the reference;
-    warm process pools must match its attempts, counters *and* journal
-    bytes for every worker count and fault profile.
+    The serial run with the perf layer disabled (no hot-path caches,
+    spec tables emptied, no wire codec) is the cold reference; process
+    pools must match its attempts, counters *and* journal bytes for
+    every worker count and fault profile.
     """
 
     SEED = 47
@@ -143,21 +146,27 @@ class TestWarmExecutorDeterminism:
         listing = WorldShard(RngTree(self.SEED)).build_population(self.POPULATION)
         return listing.alexa_top(40)
 
-    def run_with(self, sites, workers, executor, warm, profile):
+    def run_with(self, sites, workers, executor, profile):
         fault_plan = (
             FaultPlan.from_profile(profile, seed=6) if profile != "off" else None
         )
-        runner = CampaignRunner(
+        with CampaignRunner(
             seed=self.SEED, population_size=self.POPULATION,
             shards=4, workers=workers, executor=executor,
             fault_plan=fault_plan, obs_enabled=True,
-            warm_workers=warm,
-        )
-        return runner.run(sites)
+        ) as runner:
+            return runner.run(sites)
+
+    def run_cold(self, sites, profile):
+        _perf.set_enabled(False)
+        try:
+            return self.run_with(sites, 1, "serial", profile)
+        finally:
+            _perf.set_enabled(True)
 
     def test_warm_process_pool_matches_serial_cold(self, sites):
-        baseline = self.run_with(sites, 1, "serial", warm=False, profile="moderate")
-        warmed = self.run_with(sites, 2, "process", warm=True, profile="moderate")
+        baseline = self.run_cold(sites, profile="moderate")
+        warmed = self.run_with(sites, 2, "process", profile="moderate")
         assert TestShardedDeterminismUnderFaults.attempt_fingerprint(warmed) == \
             TestShardedDeterminismUnderFaults.attempt_fingerprint(baseline)
         assert warmed.fault_report == baseline.fault_report
@@ -168,11 +177,10 @@ class TestWarmExecutorDeterminism:
     @pytest.mark.slow
     @pytest.mark.parametrize("profile", ["off", "mild", "moderate"])
     def test_warm_matrix_journal_bytes(self, sites, profile):
-        baseline = self.run_with(sites, 1, "serial", warm=False, profile=profile)
+        baseline = self.run_cold(sites, profile)
         reference = baseline.journal.to_jsonl()
         for workers in (1, 2, 4):
-            warmed = self.run_with(sites, workers, "process", warm=True,
-                                   profile=profile)
+            warmed = self.run_with(sites, workers, "process", profile)
             assert warmed.journal.to_jsonl() == reference, (profile, workers)
             assert TestShardedDeterminismUnderFaults.attempt_fingerprint(warmed) \
                 == TestShardedDeterminismUnderFaults.attempt_fingerprint(baseline), \

@@ -3,7 +3,7 @@
 Each rule is exercised against hand-built snapshot slices (the fast,
 exhaustive way to pin warn/fail boundaries), then the daemon
 integration asserts that ``health.*`` events actually land in the
-journal — the deterministic alerting surface the live-smoke CI job
+journal — the deterministic alerting surface the equivalence CI job
 greps for.
 """
 

@@ -133,18 +133,18 @@ class TestFlightByteIdentity:
 
     def test_workers_and_executors_fast(self, tmp_path):
         serial = run_with_flight(tmp_path, "serial")
-        threaded = run_with_flight(
-            tmp_path, "threaded", workers=2, executor="thread"
+        pooled = run_with_flight(
+            tmp_path, "pooled", workers=2, executor="process"
         )
-        assert serial.read_bytes() == threaded.read_bytes()
+        assert serial.read_bytes() == pooled.read_bytes()
 
     def test_mild_faults_fast(self, tmp_path):
         serial = run_with_flight(tmp_path, "serial", fault_profile="mild")
-        threaded = run_with_flight(
-            tmp_path, "threaded", fault_profile="mild",
-            workers=2, executor="thread",
+        pooled = run_with_flight(
+            tmp_path, "pooled", fault_profile="mild",
+            workers=2, executor="process",
         )
-        assert serial.read_bytes() == threaded.read_bytes()
+        assert serial.read_bytes() == pooled.read_bytes()
 
     def test_login_engine_choice_moves_no_snapshot_decision_bytes(
         self, tmp_path
@@ -167,7 +167,7 @@ class TestFlightByteIdentity:
     @pytest.mark.slow
     @pytest.mark.parametrize("fault_profile", [None, "mild"])
     @pytest.mark.parametrize("workers,executor",
-                             [(2, "thread"), (2, "process"), (4, "process")])
+                             [(2, "process"), (4, "process")])
     def test_matrix(self, tmp_path, fault_profile, workers, executor):
         reference = run_with_flight(tmp_path, "ref", fault_profile)
         other = run_with_flight(
@@ -282,3 +282,64 @@ class TestSnapshotContents:
             run_with_flight(tmp_path, "no-traffic", traffic_users=0)
         )
         assert flight["snapshots"][-1]["queue"] is None
+
+
+class TestWallSideChannel:
+    def test_logins_per_second_is_the_interval_delta_over_wall(
+        self, tmp_path, monkeypatch
+    ):
+        """Each ``.wall`` record divides the traffic + stuffing logins
+        since the previous record by the wall time since it.
+
+        A fake wall clock advances only while service streams run (the
+        crawl dispatch takes no time at all), so a figure built from the
+        dispatch timer alone has nothing to divide by.
+        """
+        from types import SimpleNamespace
+
+        from repro.obs.live import ServiceFlightProbe
+        from repro.service import daemon as daemon_module
+        from repro.sim.events import EventQueue
+
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(
+            daemon_module, "time", SimpleNamespace(perf_counter=lambda: clock.now)
+        )
+        run_until = EventQueue.run_until
+
+        def timed_run_until(queue, *args, **kwargs):
+            result = run_until(queue, *args, **kwargs)
+            clock.now += 10.0
+            return result
+
+        monkeypatch.setattr(EventQueue, "run_until", timed_run_until)
+        marks = []
+        snapshot = ServiceFlightProbe.snapshot
+
+        def marked_snapshot(probe, *args):
+            stats = probe.lifecycle.stats
+            marks.append((clock.now, stats.traffic_logins + stats.stuffing_logins))
+            return snapshot(probe, *args)
+
+        monkeypatch.setattr(ServiceFlightProbe, "snapshot", marked_snapshot)
+
+        flight_path = tmp_path / "f.jsonl"
+        result = CampaignDaemon(
+            make_config(traffic_users=200, stuffing_interval=3 * DAY,
+                        stuffing_site_density=0.2),
+            flight_path=flight_path,
+        ).run()
+        assert result.lifecycle.stuffing_logins > 0
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "f.jsonl.wall").read_text().splitlines()
+        ]
+        assert len(records) == len(marks) == 3
+        intervals = [
+            (now - previous_now, logins - previous_logins)
+            for (previous_now, previous_logins), (now, logins)
+            in zip([(0.0, 0)] + marks, marks)
+        ]
+        assert [r["logins_per_second"] for r in records] == [
+            round(logins / wall, 1) for wall, logins in intervals
+        ]

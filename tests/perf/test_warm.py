@@ -1,4 +1,4 @@
-"""Warm per-worker world cache: keying, invalidation, bit-identity."""
+"""Process-lifetime spec tables: keying, clearing, bit-identity."""
 
 import dataclasses
 
@@ -6,12 +6,11 @@ import pytest
 
 from repro.core.runner import ShardPlan, pack_overrides, run_shard
 from repro.core.substrate import WorldShard
-from repro.core.system import TripwireSystem
 from repro.perf import caching as _perf
 from repro.perf.warm import (
-    WarmWorld,
-    world_for_key,
-    world_for_plan,
+    SpecCache,
+    spec_table_for_key,
+    spec_table_for_plan,
     world_key,
 )
 from repro.util.rngtree import RngTree
@@ -30,7 +29,7 @@ def fresh_layer():
     _perf.clear_all_caches()
 
 
-def make_plan(seed=SEED, population=POPULATION, warm=True, **kwargs) -> ShardPlan:
+def make_plan(seed=SEED, population=POPULATION, **kwargs) -> ShardPlan:
     listing = WorldShard(RngTree(seed)).build_population(population)
     sites = tuple(listing.alexa_top(TOP))
     return ShardPlan(
@@ -40,7 +39,6 @@ def make_plan(seed=SEED, population=POPULATION, warm=True, **kwargs) -> ShardPla
         population_size=population,
         sites=sites,
         positions=tuple(range(len(sites))),
-        warm_enabled=warm,
         **kwargs,
     )
 
@@ -48,16 +46,16 @@ def make_plan(seed=SEED, population=POPULATION, warm=True, **kwargs) -> ShardPla
 class TestWorldKey:
     def test_same_inputs_same_world(self):
         key = world_key(SEED, POPULATION, None, ())
-        assert world_for_key(key) is world_for_key(key)
+        assert spec_table_for_key(key) is spec_table_for_key(key)
 
     def test_different_seed_different_world(self):
-        a = world_for_key(world_key(SEED, POPULATION, None, ()))
-        b = world_for_key(world_key(SEED + 1, POPULATION, None, ()))
+        a = spec_table_for_key(world_key(SEED, POPULATION, None, ()))
+        b = spec_table_for_key(world_key(SEED + 1, POPULATION, None, ()))
         assert a is not b
 
     def test_different_population_different_world(self):
-        a = world_for_key(world_key(SEED, POPULATION, None, ()))
-        b = world_for_key(world_key(SEED, POPULATION + 1, None, ()))
+        a = spec_table_for_key(world_key(SEED, POPULATION, None, ()))
+        b = spec_table_for_key(world_key(SEED, POPULATION + 1, None, ()))
         assert a is not b
 
     def test_different_generator_config_different_key(self):
@@ -79,25 +77,27 @@ class TestWorldKey:
 
 
 class TestWorldForPlan:
-    def test_cold_when_not_opted_in(self):
-        assert world_for_plan(make_plan(warm=False)) is None
-
     def test_cold_when_layer_disabled(self):
+        plan = make_plan()
+        run_shard(plan)
+        assert spec_table_for_plan(plan).specs
         _perf.set_enabled(False)
-        assert world_for_plan(make_plan(warm=True)) is None
+        # Disabling the layer empties the table; the plan still gets
+        # one, because specs always come from a prefix-closed table.
+        assert spec_table_for_plan(plan).specs == {}
 
     def test_warm_plan_gets_a_world(self):
-        plan = make_plan(warm=True)
-        world = world_for_plan(plan)
-        assert isinstance(world, WarmWorld)
-        assert world_for_plan(plan) is world
+        plan = make_plan()
+        table = spec_table_for_plan(plan)
+        assert isinstance(table, SpecCache)
+        assert spec_table_for_plan(plan) is table
 
     def test_disable_clears_the_store(self):
-        plan = make_plan(warm=True)
-        before = world_for_plan(plan)
+        plan = make_plan()
+        before = spec_table_for_plan(plan)
         _perf.set_enabled(False)
         _perf.set_enabled(True)
-        assert world_for_plan(plan) is not before
+        assert spec_table_for_plan(plan) is not before
 
 
 def shard_fingerprint(result):
@@ -112,52 +112,27 @@ def shard_fingerprint(result):
 
 class TestWarmEqualsCold:
     def test_warm_shard_bit_matches_cold(self):
-        cold = run_shard(make_plan(warm=False))
-        first_warm = run_shard(make_plan(warm=True))   # populates the cache
-        second_warm = run_shard(make_plan(warm=True))  # replays from it
+        _perf.set_enabled(False)
+        cold = run_shard(make_plan())
+        _perf.set_enabled(True)
+        first_warm = run_shard(make_plan())   # fills the table
+        second_warm = run_shard(make_plan())  # reads from it
         assert shard_fingerprint(cold) == shard_fingerprint(first_warm)
         assert shard_fingerprint(cold) == shard_fingerprint(second_warm)
         assert cold.stats == first_warm.stats == second_warm.stats
         assert cold.telemetry == first_warm.telemetry == second_warm.telemetry
 
     def test_warm_specs_match_cold_specs(self):
-        plan = make_plan(warm=True)
+        plan = make_plan()
         run_shard(plan)
-        world = world_for_plan(plan)
-        assert world is not None and world.spec_cache.specs
+        table = spec_table_for_plan(plan)
+        assert table.specs
         cold_population = WorldShard(RngTree(SEED)).build_population(POPULATION)
-        for rank, spec in world.spec_cache.specs.items():
+        for rank, spec in table.specs.items():
             assert spec == cold_population.spec_at_rank(rank)
 
-    def test_warm_provisioning_matches_cold_pool(self):
-        plan = make_plan(warm=True)
-        run_shard(plan)  # record the corpus
-        warm_world = world_for_plan(plan)
-        assert warm_world is not None and warm_world.identity_corpus
-
-        def build_pool(warm):
-            system = TripwireSystem(
-                seed=SEED,
-                population_size=POPULATION,
-                apparatus_namespace=("shard", 0),
-                warm=warm,
-            )
-            hard = 2 * TOP + plan.identity_headroom
-            easy = TOP + plan.identity_headroom
-            if warm is not None:
-                warm.provision(system, hard, easy, ("shard", 0))
-            else:
-                from repro.identity.passwords import PasswordClass
-
-                system.provision_identities(hard, PasswordClass.HARD)
-                system.provision_identities(easy, PasswordClass.EASY)
-            return system.pool
-
-        cold_pool = build_pool(None)
-        warm_pool = build_pool(warm_world)
-        assert [i.identity_id for i in cold_pool.all_identities()] == [
-            i.identity_id for i in warm_pool.all_identities()
-        ]
-        assert [i.email_local for i in cold_pool.all_identities()] == [
-            i.email_local for i in warm_pool.all_identities()
-        ]
+    def test_table_is_prefix_closed(self):
+        plan = make_plan()
+        run_shard(plan)
+        ranks = sorted(spec_table_for_plan(plan).specs)
+        assert ranks == list(range(1, max(s.rank for s in plan.sites) + 1))

@@ -29,15 +29,15 @@ class TestServiceConfig:
 
     def test_sim_meta_excludes_execution_shaping(self):
         meta = make_config(workers=4, executor="process",
-                           warm_workers=False, checkpoint_every=2).sim_meta()
-        for forbidden in ("workers", "executor", "warm", "checkpoint",
-                          "wire", "wall"):
+                           login_batching=False, checkpoint_every=2).sim_meta()
+        for forbidden in ("workers", "executor", "batching", "checkpoint",
+                          "store", "wall"):
             assert not any(forbidden in key for key in meta), meta.keys()
 
     def test_sim_meta_invariant_to_execution_knobs(self):
         serial = make_config(workers=1, executor="serial")
         pooled = make_config(workers=4, executor="process",
-                             warm_workers=False, checkpoint_every=3)
+                             login_batching=False, checkpoint_every=3)
         assert serial.sim_meta() == pooled.sim_meta()
         assert config_digest(serial) == config_digest(pooled)
 
