@@ -32,6 +32,7 @@ import base64
 import hashlib
 import json
 import os
+import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +46,15 @@ CHECKPOINT_SCHEMA = 1
 
 class CheckpointError(ValueError):
     """A checkpoint file is unreadable, truncated or mismatched."""
+
+
+#: What decoding a corrupt record or blob raises: bad JSON, base64 or
+#: ASCII (all ValueError), a non-object record, a missing key, a
+#: wrong-typed field, or a torn pickle.
+_CORRUPT = (
+    ValueError, KeyError, TypeError, AttributeError, IndexError, EOFError,
+    pickle.UnpicklingError,
+)
 
 
 def config_digest(config: ServiceConfig) -> str:
@@ -112,10 +122,14 @@ def load_checkpoint(path: str | Path, config: ServiceConfig) -> Checkpoint:
     """Read and validate a checkpoint against the resuming config.
 
     Raises :class:`CheckpointError` on schema or config mismatch, a
-    missing footer (torn write) or out-of-order blobs.
+    missing footer (torn write), out-of-order blobs, or any record or
+    blob that does not decode.
     """
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
+    try:
+        lines = path.read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: not a checkpoint file ({exc})") from exc
     if not lines:
         raise CheckpointError(f"{path}: empty checkpoint")
     try:
@@ -142,26 +156,35 @@ def load_checkpoint(path: str | Path, config: ServiceConfig) -> Checkpoint:
         raise CheckpointError(f"{path}: no end marker — truncated write?") from exc
     if not isinstance(footer, dict) or footer.get("record") != "end":
         raise CheckpointError(f"{path}: no end marker — truncated write?")
+    try:
+        epochs_completed = int(header.get("epochs_completed", 0))
+        promised = int(footer.get("blobs", -1))
+    except _CORRUPT as exc:
+        raise CheckpointError(f"{path}: corrupt header or footer ({exc!r})") from exc
 
     checkpoint = Checkpoint(config_digest=expected)
-    epoch_results: list[list[ShardResult]] = [
-        [] for _ in range(int(header.get("epochs_completed", 0)))
-    ]
+    epoch_results: list[list[ShardResult]] = [[] for _ in range(epochs_completed)]
     blobs = 0
-    for line in lines[1:-1]:
-        record = json.loads(line)
-        if record.get("record") != "shard_blob":
-            raise CheckpointError(f"{path}: unexpected record {record.get('record')!r}")
-        epoch = int(record["epoch"])
+    for number, line in enumerate(lines[1:-1], start=2):
+        try:
+            record = json.loads(line)
+            kind = record.get("record")
+            if kind == "shard_blob":
+                epoch, shard = int(record["epoch"]), int(record["shard"])
+                result = decode_shard_bytes(base64.b64decode(record["wire"]))
+        except _CORRUPT as exc:
+            raise CheckpointError(
+                f"{path}: corrupt record on line {number} ({exc!r})"
+            ) from exc
+        if kind != "shard_blob":
+            raise CheckpointError(f"{path}: unexpected record {kind!r}")
         if not 0 <= epoch < len(epoch_results):
             raise CheckpointError(f"{path}: blob for epoch {epoch} outside header range")
-        if int(record["shard"]) != len(epoch_results[epoch]):
+        if shard != len(epoch_results[epoch]):
             raise CheckpointError(f"{path}: out-of-order shard blob in epoch {epoch}")
-        epoch_results[epoch].append(
-            decode_shard_bytes(base64.b64decode(record["wire"]))
-        )
+        epoch_results[epoch].append(result)
         blobs += 1
-    if blobs != int(footer.get("blobs", -1)):
+    if blobs != promised:
         raise CheckpointError(
             f"{path}: footer promises {footer.get('blobs')} blobs, found {blobs}"
         )

@@ -8,6 +8,7 @@ greps for.
 """
 
 from repro.obs.health import FAIL, OK, WARN, HealthCheck, HealthThresholds
+from repro.obs.live import read_flight
 from repro.service.daemon import CampaignDaemon
 from repro.util.timeutil import DAY
 
@@ -166,3 +167,31 @@ class TestHealthJournaling:
     def test_no_flight_no_health_events(self):
         result = CampaignDaemon(make_config()).run()
         assert "health." not in result.journal.to_jsonl()
+
+    def test_flight_adds_only_health_events_and_their_tallies(self, tmp_path):
+        """Turning the recorder on adds ``health.*`` events and nothing
+        else: every other journal line is unchanged and in order; only
+        the shard/counter summary lines that tally events move.  The
+        flight file holds one snapshot per epoch."""
+
+        def summary(line: str) -> bool:
+            return '"record":"shard"' in line or '"counters"' in line
+
+        def rest(lines: list[str]) -> list[str]:
+            return [
+                line for line in lines
+                if '"health.' not in line and not summary(line)
+            ]
+
+        config = make_config()
+        flight_path = tmp_path / "flight.jsonl"
+        off = CampaignDaemon(config).run().journal.to_jsonl().splitlines()
+        on = CampaignDaemon(
+            config, flight_path=flight_path
+        ).run().journal.to_jsonl().splitlines()
+
+        assert rest(on) == rest(off)
+        health = [line for line in on if '"health.' in line]
+        assert len(health) == len(HealthCheck.RULES) * config.epochs
+        assert sum(map(summary, on)) == sum(map(summary, off))
+        assert len(read_flight(flight_path)["snapshots"]) == config.epochs

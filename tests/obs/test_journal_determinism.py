@@ -1,10 +1,12 @@
 """The journal's headline guarantee: byte-identical for any worker count."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.runner import CampaignRunner
+from repro.core.scenario import PilotScenario, ScenarioConfig
 from repro.core.substrate import WorldShard
 from repro.faults.plan import FaultPlan
 from repro.util.rngtree import RngTree
@@ -76,3 +78,33 @@ class TestObservationOffByDefault:
         result = runner.run(sites)
         assert result.journal is None
         assert all(r.observation is None for r in result.shard_results)
+
+
+class TestObservationIsPassive:
+    def test_observed_pilot_matches_unobserved(self):
+        """Observation records the run and never steers it: a whole
+        pilot (crawl, breaches, attacks, monitoring) reaches the same
+        attempts, detections and attacker logins with obs on."""
+        config = ScenarioConfig(
+            seed=31, population_size=150, seed_list_size=30,
+            main_crawl_top=120, second_crawl_top=150, manual_top=10,
+            breach_count=5, breach_hard_exposing=3,
+            unused_account_count=40, control_account_count=3,
+        )
+        off = PilotScenario(config).run()
+        on = PilotScenario(dataclasses.replace(config, obs_enabled=True)).run()
+
+        def fingerprint(result):
+            return [
+                (a.site_host, a.identity.email_local, a.password_class.value,
+                 a.outcome.code.value, a.outcome.started_at,
+                 a.outcome.finished_at)
+                for a in result.campaign.attempts
+            ]
+
+        assert on.system.obs.tracer.spans  # observation really engaged
+        assert fingerprint(on) == fingerprint(off)
+        assert on.detected_hosts == off.detected_hosts
+        assert on.detected_hosts
+        assert (on.checker.total_login_attempts
+                == off.checker.total_login_attempts)

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.runner import CampaignRunner
+from repro.core.substrate import WorldShard
 from repro.perf import caching as _perf
 from repro.perf.caching import LruCache
+from repro.util.rngtree import RngTree
 
 
 @pytest.fixture(autouse=True)
@@ -84,3 +87,39 @@ class TestSwitch:
         assert cleared
         _perf.set_enabled(True)
         assert _perf.enabled()
+
+
+def _small_campaign() -> None:
+    sites = WorldShard(RngTree(1)).build_population(300).alexa_top(40)
+    with CampaignRunner(
+        seed=1, population_size=300, shards=2, workers=1, executor="serial"
+    ) as runner:
+        runner.run(sites)
+
+
+class TestCachesServeACampaign:
+    """The hot-path caches actually hit on a real (serial) campaign,
+    and the switch really turns them off."""
+
+    HOT_PATH = ("parsed-dom", "render-homepage", "render-registration",
+                "render-response")
+
+    def test_campaign_hits_the_dom_and_render_caches(self):
+        _perf.set_enabled(True)
+        _perf.clear_all_caches()
+        _small_campaign()
+        stats = _perf.cache_stats()
+        for name in self.HOT_PATH:
+            assert stats[name]["hits"] > 0, name
+
+    def test_disabled_layer_leaves_the_hot_path_caches_empty(self):
+        _perf.set_enabled(True)
+        _small_campaign()
+        _perf.set_enabled(False)
+        assert all(s["size"] == 0 for s in _perf.cache_stats().values())
+        _small_campaign()
+        stats = _perf.cache_stats()
+        for name in self.HOT_PATH:
+            assert stats[name] == {
+                "hits": 0, "misses": 0, "evictions": 0, "size": 0,
+            }, name

@@ -1,5 +1,6 @@
 """Tests for checkpoint save/load: atomicity, validation, fidelity."""
 
+import base64
 import json
 
 import pytest
@@ -130,4 +131,63 @@ class TestValidation:
         path = tmp_path / "svc.ckpt"
         path.write_text("", encoding="ascii")
         with pytest.raises(CheckpointError, match="empty"):
+            load_checkpoint(path, config)
+
+
+def _garble(lines):
+    lines[1] = lines[1][: len(lines[1]) // 2]
+
+
+def _non_object(lines):
+    lines[1] = "[1, 2, 3]"
+
+
+def _drop_epoch(lines):
+    record = json.loads(lines[1])
+    del record["epoch"]
+    lines[1] = json.dumps(record, sort_keys=True)
+
+
+def _bad_base64(lines):
+    record = json.loads(lines[1])
+    record["wire"] = record["wire"][:-1]
+    lines[1] = json.dumps(record, sort_keys=True)
+
+
+def _truncate_wire(lines):
+    record = json.loads(lines[1])
+    wire = base64.b64decode(record["wire"])
+    record["wire"] = base64.b64encode(wire[: len(wire) // 2]).decode("ascii")
+    lines[1] = json.dumps(record, sort_keys=True)
+
+
+def _non_ascii(lines):
+    lines[1] = lines[1].replace("shard_blob", "shard_bl\u00f6b", 1)
+
+
+def _non_integer_epoch_count(lines):
+    header = json.loads(lines[0])
+    header["epochs_completed"] = "one"
+    lines[0] = json.dumps(header, sort_keys=True)
+
+
+class TestCorruptBody:
+    """Any record or blob that fails to decode is a CheckpointError, so
+    ``serve --resume`` reports it instead of printing a traceback."""
+
+    @pytest.mark.parametrize("corrupt", [
+        _garble, _non_object, _drop_epoch, _bad_base64, _truncate_wire,
+        _non_ascii, _non_integer_epoch_count,
+    ], ids=["garbled-json", "non-object", "missing-epoch", "bad-base64",
+            "truncated-wire", "non-ascii", "non-integer-epoch-count"])
+    def test_corrupt_body_raises_checkpoint_error(self, tmp_path, corrupt):
+        config = make_config()
+        checkpoint = Checkpoint(config_digest(config))
+        checkpoint.record_epoch(shard_results_for(config))
+        path = tmp_path / "svc.ckpt"
+        save_checkpoint(checkpoint, path)
+        lines = path.read_text(encoding="ascii").splitlines()
+        corrupt(lines)
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        with pytest.raises(CheckpointError):
             load_checkpoint(path, config)
