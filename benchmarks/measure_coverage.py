@@ -49,6 +49,9 @@ def collect_targets() -> dict[str, set[int]]:
 def main(argv: list[str]) -> int:
     import pytest
 
+    # pytest.main extends the list it is given with the ini addopts, in
+    # place; the summary records the arguments as passed.
+    pytest_args = list(argv) or ["-q"]
     targets = collect_targets()
     prefix = str(SRC_ROOT)
     executed: dict[str, set[int]] = {name: set() for name in targets}
@@ -73,7 +76,7 @@ def main(argv: list[str]) -> int:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        exit_code = pytest.main(argv or ["-q"])
+        exit_code = pytest.main(list(pytest_args))
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -96,7 +99,7 @@ def main(argv: list[str]) -> int:
     percent = round(100.0 * total_hit / total_stmts, 1) if total_stmts else 0.0
     summary = {
         "method": "stdlib settrace + AST statement lines (see this script)",
-        "pytest_args": argv or ["-q"],
+        "pytest_args": pytest_args,
         "total_statements": total_stmts,
         "executed_statements": total_hit,
         "percent": percent,

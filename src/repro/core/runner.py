@@ -39,10 +39,12 @@ Process execution
   and lives until :meth:`CampaignRunner.close` (or context exit), so
   every epoch a daemon dispatches reuses the same worker processes and
   their spec tables.
-- **Wire codec** (:mod:`repro.perf.wire`): each shard result crosses
-  the pool as one compact interned-tuple blob instead of a
-  default-pickled object graph; per-shard bytes-on-wire are recorded
-  on the run result (never in the journal — they are executor-shaped).
+- **Shard blobs**: each shard result crosses the pool as one
+  ``pack(encode_shard_result(r))`` blob (:mod:`repro.store.rows` over
+  :mod:`repro.store.packing`, the same bytes a service checkpoint
+  stores) instead of a default-pickled object graph; per-shard
+  bytes-on-wire are recorded on the run result (never in the journal —
+  they are executor-shaped).
 - **Streaming merge**: shard results fold into a
   :class:`ShardResultMerger` as they complete instead of waiting on a
   ``pool.map`` barrier, so the merge is overlapped with the slowest
@@ -66,7 +68,8 @@ from repro.identity.pool import IdentityState
 from repro.obs.journal import RunJournal, ShardObservation
 from repro.obs.merge import collect_shard_ordered, sum_counter_dataclasses
 from repro.perf import warm as _warm
-from repro.perf import wire as _wire
+from repro.store import rows as _rows
+from repro.store.packing import pack, unpack
 from repro.util.timeutil import STUDY_START, SimInstant
 from repro.web.generator import GeneratorConfig
 from repro.web.population import RankedSite
@@ -158,7 +161,7 @@ class CampaignRunResult:
     #: so its serialized bytes are identical for any worker count.
     journal: RunJournal | None = None
     #: Bytes-on-wire per shard index when the process backend shipped
-    #: results through the wire codec; empty for serial runs.  Lives here,
+    #: results as shard blobs; empty for serial runs.  Lives here,
     #: not in the journal — it is executor-shaped operational data.
     wire_bytes: dict[int, int] = field(default_factory=dict)
 
@@ -289,14 +292,14 @@ def run_shard(plan: ShardPlan) -> ShardResult:
 
 
 def run_shard_wire(plan: ShardPlan) -> bytes:
-    """Run a shard and ship its result as one compact wire blob.
+    """Run a shard and ship its result as one packed shard blob.
 
     Top-level so the process backend can pickle it.  Encoding in the
     worker means the pool transfers a single ``bytes`` object; the
     parent decodes as results stream in, and ``len()`` of the blob is
     the shard's exact bytes-on-wire.
     """
-    return _wire.encode_shard_bytes(run_shard(plan))
+    return pack(_rows.encode_shard_result(run_shard(plan)))
 
 
 class ShardResultMerger:
@@ -369,7 +372,7 @@ class CampaignRunner:
     ``executor`` picks the backend: ``"serial"`` (the baseline the
     process backend must match bit-for-bit) or ``"process"`` (true
     parallelism; shards rebuild their worlds in the worker process from
-    the picklable plan and ship results back through the wire codec).
+    the picklable plan and ship results back as shard blobs).
     The process pool is created on first use and kept across
     :meth:`run`/:meth:`execute` calls until :meth:`close`, so use the
     runner as a context manager whenever ``workers > 1``.
@@ -588,7 +591,7 @@ class CampaignRunner:
             for future in concurrent.futures.as_completed(futures):
                 blob = future.result()
                 wire_bytes[futures[future].shard_index] = len(blob)
-                merger.add(_wire.decode_shard_bytes(blob))
+                merger.add(_rows.decode_shard_result(unpack(blob)))
         except BaseException:
             for future in futures:
                 future.cancel()

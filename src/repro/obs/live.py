@@ -29,18 +29,19 @@ file, never cmp'd, never journaled, appended without atomicity
 guarantees.  Nothing from the side channel ever feeds back into
 snapshot or journal bytes.
 
-Each flush rewrites the whole flight file through a temp file and
-``os.replace`` — the file a reader (``repro obs top``/``tail``) sees
-is always complete, never torn mid-record.
+Each flush rewrites the whole flight file through
+:func:`repro.util.atomic.atomic_write` — the file a reader
+(``repro obs top``/``tail``) sees is always complete, never torn
+mid-record.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from pathlib import Path
 
+from repro.util.atomic import atomic_write
 from repro.util.timeutil import DAY, HOUR
 
 #: Bump when the flight-record shapes change; readers check it.
@@ -126,10 +127,7 @@ class FlightRecorder:
                 "detail": status.detail_dict(),
             }))
         self._flushes += 1
-        payload = ("\n".join(self._lines) + "\n").encode("utf-8")
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, self.path)
+        atomic_write(self.path, ("\n".join(self._lines) + "\n").encode("utf-8"))
 
     def profile(self, payload: dict) -> None:
         """Append one wall-clock record to the side channel.

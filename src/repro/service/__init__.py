@@ -12,8 +12,9 @@ shape:
   incremental telemetry-dump ingestion and account lifecycle churn
   (bind/freeze/reset) as cancellable :class:`~repro.sim.events.EventQueue`
   entries;
-- :mod:`repro.service.checkpoint` — wire-codec-backed epoch
-  checkpoints, written atomically so a kill mid-write cannot corrupt;
+- :mod:`repro.service.checkpoint` — epoch checkpoints of packed
+  shard blobs in one CRC-checked frame, written atomically so a kill
+  mid-write cannot corrupt;
 - :mod:`repro.service.daemon` — the :class:`CampaignDaemon` driving it
   all: one :class:`~repro.core.runner.CampaignRunner` dispatch per
   epoch over one process pool kept for the run, graceful SIGTERM stop,

@@ -18,7 +18,7 @@ Two properties carry the contract:
   :meth:`CampaignRunner.plan` (no shared state with the service
   world), so each epoch is bit-identical for any worker count, and a
   completed epoch's :class:`~repro.core.runner.ShardResult`\\ s can be
-  stored in a checkpoint via the lossless wire codec.
+  stored in a checkpoint as lossless shard blobs.
 - **The service world is replayable.** Probes, lifecycle churn and
   dump ingestion depend only on the config, never on crawl results, so
   a resumed daemon rebuilds service state by replaying the epoch loop

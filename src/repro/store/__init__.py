@@ -2,19 +2,19 @@
 
 A world — site specs, account databases, campaign telemetry — has so
 far lived entirely in process memory, capping populations around
-10^3–10^4 sites.  This package extends the PR-5 wire codec (interned
-row tuples) from shard-result *transport* into a persistent *backend*:
+10^3–10^4 sites.  This package is a persistent *backend* of interned
+row tuples, and its byte layer is the program's one binary format:
 
 - :mod:`repro.store.packing` — a deterministic, self-describing binary
-  value codec (the byte layer under every page and footer);
+  value codec (the byte layer under every page and footer, every
+  shard blob and every service checkpoint);
 - :mod:`repro.store.segment` — append-only segment files: fixed-size
   row-group pages, each self-contained with its own string intern
   table, indexed by a checksummed footer;
 - :mod:`repro.store.pagecache` — an LRU of decoded pages under a
   configurable byte budget, with residency accounting;
 - :mod:`repro.store.rows` — lossless row codecs for the three world
-  tables (``specs``, ``accounts``, ``telemetry``), built on the PR-5
-  wire codec's interning helpers;
+  tables (``specs``, ``accounts``, ``telemetry``) and for shard blobs;
 - :mod:`repro.store.world` — the :class:`WorldStore` directory format
   (meta + segments), prefix-closed build from a
   :class:`~repro.web.generator.SiteGenerator`, and the read-only

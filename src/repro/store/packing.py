@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 
-__all__ = ["PackError", "pack", "unpack"]
+__all__ = ["MAX_DEPTH", "PackError", "pack", "unpack"]
 
 _TAG_NONE = 0x00
 _TAG_FALSE = 0x01
@@ -37,6 +37,10 @@ _TAG_TUPLE = 0x07
 _TAG_DICT = 0x08
 
 _FLOAT = struct.Struct(">d")
+#: Deepest tuple/dict nesting :func:`unpack` accepts.  Row tuples nest
+#: a handful of levels; the cap turns a hostile buffer into a
+#: PackError long before the interpreter's recursion limit.
+MAX_DEPTH = 64
 
 
 class PackError(ValueError):
@@ -54,8 +58,6 @@ def _read_uvarint(buf: bytes, offset: int) -> tuple[int, int]:
     result = 0
     shift = 0
     while True:
-        if offset >= len(buf):
-            raise PackError("truncated varint")
         byte = buf[offset]
         offset += 1
         result |= (byte & 0x7F) << shift
@@ -74,33 +76,44 @@ def _unzigzag(value: int) -> int:
 
 
 def _pack_into(out: bytearray, value: object) -> None:
-    if value is None:
-        out.append(_TAG_NONE)
-    elif value is True:
-        out.append(_TAG_TRUE)
-    elif value is False:
-        out.append(_TAG_FALSE)
-    elif type(value) is int:
+    # Checks run in order of frequency in row tuples: intern indices and
+    # other small ints first.  ``type(True) is bool``, never ``int``.
+    kind = type(value)
+    if kind is int:
         out.append(_TAG_INT)
         _write_uvarint(out, _zigzag(value))
-    elif type(value) is float:
-        out.append(_TAG_FLOAT)
-        out.extend(_FLOAT.pack(value))
-    elif type(value) is str:
+    elif kind is tuple or kind is list:
+        out.append(_TAG_TUPLE)
+        _write_uvarint(out, len(value))
+        for item in value:
+            if type(item) is int and item >= 0:
+                # Inlined zigzag + _write_uvarint: ints are most of a
+                # row's items.
+                out.append(_TAG_INT)
+                item <<= 1
+                while item >= 0x80:
+                    out.append((item & 0x7F) | 0x80)
+                    item >>= 7
+                out.append(item)
+            else:
+                _pack_into(out, item)
+    elif kind is str:
         encoded = value.encode("utf-8")
         out.append(_TAG_STR)
         _write_uvarint(out, len(encoded))
         out.extend(encoded)
-    elif type(value) is bytes:
+    elif value is None:
+        out.append(_TAG_NONE)
+    elif kind is bool:
+        out.append(_TAG_TRUE if value else _TAG_FALSE)
+    elif kind is float:
+        out.append(_TAG_FLOAT)
+        out.extend(_FLOAT.pack(value))
+    elif kind is bytes:
         out.append(_TAG_BYTES)
         _write_uvarint(out, len(value))
         out.extend(value)
-    elif type(value) in (tuple, list):
-        out.append(_TAG_TUPLE)
-        _write_uvarint(out, len(value))
-        for item in value:
-            _pack_into(out, item)
-    elif type(value) is dict:
+    elif kind is dict:
         out.append(_TAG_DICT)
         _write_uvarint(out, len(value))
         for key, item in value.items():
@@ -109,48 +122,70 @@ def _pack_into(out: bytearray, value: object) -> None:
             _pack_into(out, key)
             _pack_into(out, item)
     else:
-        raise PackError(f"cannot pack {type(value).__name__}")
+        raise PackError(f"cannot pack {kind.__name__}")
 
 
-def _unpack_from(buf: bytes, offset: int) -> tuple[object, int]:
-    if offset >= len(buf):
-        raise PackError("truncated value")
+def _unpack_from(buf: bytes, offset: int, depth: int) -> tuple[object, int]:
+    # Reading past the end raises IndexError; unpack() reports it.
     tag = buf[offset]
     offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_TRUE:
-        return True, offset
-    if tag == _TAG_FALSE:
-        return False, offset
     if tag == _TAG_INT:
         raw, offset = _read_uvarint(buf, offset)
         return _unzigzag(raw), offset
-    if tag == _TAG_FLOAT:
-        end = offset + 8
-        if end > len(buf):
-            raise PackError("truncated float")
-        return _FLOAT.unpack(buf[offset:end])[0], end
-    if tag in (_TAG_STR, _TAG_BYTES):
+    if tag == _TAG_TUPLE:
+        if depth >= MAX_DEPTH:
+            raise PackError(f"value nested deeper than {MAX_DEPTH} levels")
+        count, offset = _read_uvarint(buf, offset)
+        items = []
+        append = items.append
+        for _ in range(count):
+            if buf[offset] == _TAG_INT:
+                # Inlined _read_uvarint: ints are most of a row's items.
+                raw = buf[offset + 1]
+                offset += 2
+                if raw >= 0x80:
+                    raw &= 0x7F
+                    shift = 7
+                    while True:
+                        byte = buf[offset]
+                        offset += 1
+                        raw |= (byte & 0x7F) << shift
+                        if byte < 0x80:
+                            break
+                        shift += 7
+                append((raw >> 1) ^ -(raw & 1))
+            else:
+                item, offset = _unpack_from(buf, offset, depth + 1)
+                append(item)
+        return tuple(items), offset
+    if tag == _TAG_STR or tag == _TAG_BYTES:
         length, offset = _read_uvarint(buf, offset)
         end = offset + length
         if end > len(buf):
             raise PackError("truncated string")
         raw = buf[offset:end]
         return (raw.decode("utf-8") if tag == _TAG_STR else bytes(raw)), end
-    if tag == _TAG_TUPLE:
-        count, offset = _read_uvarint(buf, offset)
-        items = []
-        for _ in range(count):
-            item, offset = _unpack_from(buf, offset)
-            items.append(item)
-        return tuple(items), offset
+    if tag == _TAG_NONE:
+        return None, offset
+    if tag == _TAG_TRUE:
+        return True, offset
+    if tag == _TAG_FALSE:
+        return False, offset
+    if tag == _TAG_FLOAT:
+        end = offset + 8
+        if end > len(buf):
+            raise PackError("truncated float")
+        return _FLOAT.unpack(buf[offset:end])[0], end
     if tag == _TAG_DICT:
+        if depth >= MAX_DEPTH:
+            raise PackError(f"value nested deeper than {MAX_DEPTH} levels")
         count, offset = _read_uvarint(buf, offset)
         result: dict = {}
         for _ in range(count):
-            key, offset = _unpack_from(buf, offset)
-            value, offset = _unpack_from(buf, offset)
+            key, offset = _unpack_from(buf, offset, depth + 1)
+            if type(key) is not str:
+                raise PackError(f"dict key is {type(key).__name__}, not str")
+            value, offset = _unpack_from(buf, offset, depth + 1)
             result[key] = value
         return result, offset
     raise PackError(f"unknown tag 0x{tag:02x}")
@@ -164,8 +199,17 @@ def pack(value: object) -> bytes:
 
 
 def unpack(buf: bytes) -> object:
-    """Decode :func:`pack` output; rejects trailing or missing bytes."""
-    value, offset = _unpack_from(buf, 0)
+    """Decode :func:`pack` output; rejects trailing or missing bytes.
+
+    Raises :class:`PackError`, never another error, on any malformed
+    buffer, nesting deeper than :data:`MAX_DEPTH` included.
+    """
+    try:
+        value, offset = _unpack_from(buf, 0, 0)
+    except IndexError:
+        raise PackError("truncated value") from None
+    except UnicodeDecodeError as exc:
+        raise PackError(f"string is not UTF-8 ({exc.reason})") from None
     if offset != len(buf):
         raise PackError(f"{len(buf) - offset} trailing bytes after value")
     return value

@@ -24,12 +24,14 @@ LRU page cache is built on.  Layout::
     | end magic "TWSTEND1" (8 B) |
     +----------------------------+
 
-Pages append forward; the footer and tail are written once on
-:meth:`SegmentWriter.close`.  A torn write therefore leaves a file
-without the end magic, which :class:`SegmentReader` rejects with
-:class:`StoreError` instead of yielding garbage rows.  Every page and
-the footer carry a CRC32, so a flipped byte is also a clean
-:class:`StoreError`.
+Pages append forward into a temp file; the footer and tail are
+written once on :meth:`SegmentWriter.close`, which then publishes the
+file with :func:`repro.util.atomic.publish`.  A torn file lacks the end
+magic, which :class:`SegmentReader` rejects with :class:`StoreError`
+instead of yielding garbage rows.  Every page and the footer carry a
+CRC32, so a flipped byte is also a clean :class:`StoreError`.  The
+page framing (:func:`frame`/:func:`unframe`) is also the framing of a
+service checkpoint.
 
 Readers use :func:`os.pread` — positioned reads off a single file
 descriptor — so concurrent readers sharing a process-wide store need
@@ -48,8 +50,16 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from repro.store.packing import PackError, pack, unpack
+from repro.util.atomic import publish, temp_path
 
-__all__ = ["SEGMENT_SCHEMA", "SegmentReader", "SegmentWriter", "StoreError"]
+__all__ = [
+    "SEGMENT_SCHEMA",
+    "SegmentReader",
+    "SegmentWriter",
+    "StoreError",
+    "frame",
+    "unframe",
+]
 
 #: Bump on any incompatible change to the page or footer layout.
 SEGMENT_SCHEMA = 1
@@ -65,6 +75,31 @@ DEFAULT_ROWS_PER_PAGE = 256
 
 class StoreError(ValueError):
     """A store file is unreadable, corrupt, truncated or mismatched."""
+
+
+def frame(payload: bytes) -> bytes:
+    """``payload`` behind its u32 length and u32 CRC32 (a page's framing)."""
+    return _U32.pack(len(payload)) + _U32.pack(zlib.crc32(payload)) + payload
+
+
+def unframe(raw: bytes, where: str) -> bytes:
+    """The payload of one :func:`frame`, which must span all of ``raw``.
+
+    Raises :class:`StoreError` (prefixed with ``where``) on a short
+    header, a length that disagrees with ``raw`` or a CRC mismatch.
+    """
+    if len(raw) < 8:
+        raise StoreError(f"{where}: {len(raw)} bytes is too short for a frame")
+    length = _U32.unpack(raw[0:4])[0]
+    crc = _U32.unpack(raw[4:8])[0]
+    payload = raw[8:]
+    if len(payload) != length:
+        raise StoreError(
+            f"{where}: has {len(payload)} payload bytes, header says {length}"
+        )
+    if zlib.crc32(payload) != crc:
+        raise StoreError(f"{where}: checksum mismatch")
+    return payload
 
 
 @dataclass(frozen=True)
@@ -106,7 +141,7 @@ class SegmentWriter:
         self._closed = False
         # Write through a temp file; a crash mid-build leaves no
         # half-segment at the target path.
-        self._tmp = self.path.with_name(self.path.name + ".tmp")
+        self._tmp = temp_path(self.path)
         self._file: io.BufferedWriter = open(self._tmp, "wb")
         self._file.write(MAGIC)
         self._offset = len(MAGIC)
@@ -130,19 +165,17 @@ class SegmentWriter:
 
         interner = Interner()
         encoded = tuple(self._encode(row, interner) for row in self._pending)
-        payload = pack((tuple(interner.table), encoded))
-        header = _U32.pack(len(payload)) + _U32.pack(zlib.crc32(payload))
-        self._file.write(header)
-        self._file.write(payload)
+        page = frame(pack((tuple(interner.table), encoded)))
+        self._file.write(page)
         self._entries.append(
             PageEntry(
                 offset=self._offset,
-                length=len(header) + len(payload),
+                length=len(page),
                 first_row=self._row_count,
                 n_rows=len(self._pending),
             )
         )
-        self._offset += len(header) + len(payload)
+        self._offset += len(page)
         self._row_count += len(self._pending)
         self._pending = []
 
@@ -168,7 +201,7 @@ class SegmentWriter:
         self._file.write(_U32.pack(zlib.crc32(footer)))
         self._file.write(END_MAGIC)
         self._file.close()
-        os.replace(self._tmp, self.path)
+        publish(self._tmp, self.path)
         self._closed = True
         return self._row_count
 
@@ -279,19 +312,10 @@ class SegmentReader:
     # -- page access --------------------------------------------------------
 
     def _load_page(self, entry: PageEntry) -> list:
-        raw = self._pread(entry.offset, entry.length)
-        length = _U32.unpack(raw[0:4])[0]
-        crc = _U32.unpack(raw[4:8])[0]
-        payload = raw[8:]
-        if len(payload) != length:
-            raise StoreError(
-                f"{self.path}: page at offset {entry.offset} has "
-                f"{len(payload)} payload bytes, index says {length}"
-            )
-        if zlib.crc32(payload) != crc:
-            raise StoreError(
-                f"{self.path}: page checksum mismatch at offset {entry.offset}"
-            )
+        payload = unframe(
+            self._pread(entry.offset, entry.length),
+            f"{self.path}: page at offset {entry.offset}",
+        )
         try:
             strings, rows = unpack(payload)
         except (PackError, ValueError) as exc:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -46,6 +45,7 @@ from repro.store.segment import (
     SegmentWriter,
     StoreError,
 )
+from repro.util.atomic import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.campaign import AttemptRecord
@@ -296,7 +296,7 @@ class WorldStore:
 
         Writes the ``telemetry`` table (attempt rows in merged order)
         and the ``accounts`` table (each distinct identity once, in
-        first-reference order — the wire codec's interning rule applied
+        first-reference order — the row codecs' interning rule applied
         at store scope).  Replaces any previous results atomically;
         returns ``(accounts, telemetry)`` row counts.
         """
@@ -356,11 +356,9 @@ class WorldStore:
 
 
 def _write_meta(path: Path, meta: dict) -> None:
-    """Write the manifest atomically (temp + rename)."""
+    """Write the manifest atomically."""
     payload = json.dumps(meta, sort_keys=True, indent=2) + "\n"
-    tmp = path / (META_NAME + ".tmp")
-    tmp.write_text(payload, encoding="utf-8")
-    os.replace(tmp, path / META_NAME)
+    atomic_write(path / META_NAME, payload.encode("utf-8"))
 
 
 def build_world_store(

@@ -220,7 +220,7 @@ class TestScaleOutExecutor:
 
     def test_codec_and_warm_do_not_change_results(self, sites):
         # The perf-disabled serial run is the cold oracle: no hot-path
-        # caches, spec tables emptied, no wire codec.
+        # caches, spec tables emptied, no shard blobs.
         _perf.set_enabled(False)
         try:
             reference = CampaignRunner(

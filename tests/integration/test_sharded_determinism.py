@@ -133,7 +133,7 @@ class TestWarmExecutorDeterminism:
     """Process pools must not move a bit of merged output.
 
     The serial run with the perf layer disabled (no hot-path caches,
-    spec tables emptied, no wire codec) is the cold reference; process
+    spec tables emptied, no shard blobs) is the cold reference; process
     pools must match its attempts, counters *and* journal bytes for
     every worker count and fault profile.
     """

@@ -135,6 +135,22 @@ class TestKillMatrixFast:
         finally:
             close_open_stores()
 
+    def test_checkpoint_bytes_do_not_depend_on_executor_or_resume(self, tmp_path):
+        serial_path = tmp_path / "serial.ckpt"
+        CampaignDaemon(make_config(), checkpoint_path=serial_path).run()
+        process_path = tmp_path / "process.ckpt"
+        CampaignDaemon(
+            make_config(workers=2, executor="process"), checkpoint_path=process_path
+        ).run()
+        assert process_path.read_bytes() == serial_path.read_bytes()
+
+        resumed_path = tmp_path / "resumed.ckpt"
+        run_killed_at(make_config(), resumed_path, 0)
+        CampaignDaemon(make_config(), checkpoint_path=resumed_path).run(
+            resume=load_checkpoint(resumed_path, make_config())
+        )
+        assert resumed_path.read_bytes() == serial_path.read_bytes()
+
     def test_checkpoint_cadence_skips_epochs(self, tmp_path):
         config = make_config(checkpoint_every=2)
         path = tmp_path / "svc.ckpt"

@@ -4,7 +4,7 @@ The store's durability story rests on ``decode(encode(x)) == x`` at
 three layers: the tagged value codec (:mod:`repro.store.packing`), the
 per-table row codecs (:mod:`repro.store.rows`) and whole segment files
 (:mod:`repro.store.segment`).  Each layer is pinned independently,
-plus the interning edge cases the wire codec never hits at shard
+plus the interning edge cases shard blobs never hit at shard
 scale: empty strings, duplicated hosts across rows, and intern tables
 past the 64k mark (the codec is varint-based — there is no u16 index
 ceiling to fall off).
@@ -18,7 +18,7 @@ from repro.core.campaign import AttemptRecord
 from repro.crawler.outcomes import CrawlOutcome, TerminationCode
 from repro.identity.passwords import PasswordClass
 from repro.identity.records import Identity, PostalAddress
-from repro.store.packing import PackError, pack, unpack
+from repro.store.packing import MAX_DEPTH, PackError, pack, unpack
 from repro.store.rows import (
     Interner,
     decode_attempt_row,
@@ -168,6 +168,21 @@ class TestPacking:
     def test_unpackable_type_rejected(self):
         with pytest.raises(PackError):
             pack(object())
+
+    @given(st.binary(max_size=48))
+    def test_arbitrary_bytes_raise_only_pack_error(self, data):
+        try:
+            unpack(data)
+        except PackError:
+            pass
+
+    def test_over_deep_nesting_rejected(self):
+        nested = b"\x07\x01" * MAX_DEPTH + b"\x00"
+        assert unpack(nested) is not None
+        with pytest.raises(PackError, match="nested deeper"):
+            unpack(b"\x07\x01" + nested)
+        with pytest.raises(PackError, match="nested deeper"):
+            unpack(b"\x07\x01" * 5000 + b"\x00")
 
 
 # -- row codecs ---------------------------------------------------------------

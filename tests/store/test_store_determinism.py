@@ -6,7 +6,7 @@ output and journal bytes identical to the in-memory run, for any
 worker count, executor and fault profile.  The matrix here pins that —
 one in-memory reference journal per fault profile, compared
 byte-for-byte against store-backed runs at workers 1 (serial), 2 and
-4 (process, through the wire codec).
+4 (process, through shard blobs).
 """
 
 import pytest
